@@ -11,9 +11,12 @@
 use std::hint::black_box;
 use xt_harness::bench::Group;
 use xt_compiler::CompileOpts;
-use xt_core::{run_inorder, run_ooo, run_ooo_with_mem, CoreConfig};
+use xt_core::{CoreConfig, InOrderSession, OooSession};
 use xt_mem::{MemConfig, PrefetchConfig};
 use xt_workloads::{ai, blockchain, coremark, eembc, nbench, stream};
+
+/// Dynamic-instruction budget per simulated run.
+const MAX_INSTS: u64 = 50_000_000;
 
 fn quick(name: &str, mut f: impl FnMut() -> u64) {
     let mut g = Group::new(name);
@@ -49,30 +52,33 @@ fn table2() {
 /// Fig. 17: CoreMark-class kernel on both machines.
 fn fig17() {
     let k = coremark::crc(&CompileOpts::optimized());
+    let (xt910, u74) = (CoreConfig::xt910(), CoreConfig::u74_like());
     quick("fig17_coremark_crc", || {
-        let xt = run_ooo(&k.program, &CoreConfig::xt910(), 50_000_000);
-        let u74 = run_inorder(&k.program, &CoreConfig::u74_like(), 50_000_000);
-        xt.perf.cycles + u74.perf.cycles
+        let xt = OooSession::new(&k.program, &xt910, xt910.mem, MAX_INSTS).run_to_end();
+        let base = InOrderSession::new(&k.program, &u74, u74.mem, MAX_INSTS).run_to_end();
+        xt.perf.cycles + base.perf.cycles
     });
 }
 
 /// Fig. 18: an EEMBC-class kernel vs the A73-class reference.
 fn fig18() {
     let k = eembc::rgbcmyk(&CompileOpts::optimized());
+    let (xt910, a73) = (CoreConfig::xt910(), CoreConfig::a73_like());
     quick("fig18_eembc_rgbcmyk", || {
-        let xt = run_ooo(&k.program, &CoreConfig::xt910(), 50_000_000);
-        let a73 = run_ooo(&k.program, &CoreConfig::a73_like(), 50_000_000);
-        xt.perf.cycles + a73.perf.cycles
+        let xt = OooSession::new(&k.program, &xt910, xt910.mem, MAX_INSTS).run_to_end();
+        let base = OooSession::new(&k.program, &a73, a73.mem, MAX_INSTS).run_to_end();
+        xt.perf.cycles + base.perf.cycles
     });
 }
 
 /// Fig. 19: an NBench-class kernel vs the A73-class reference.
 fn fig19() {
     let k = nbench::bitfield(&CompileOpts::optimized());
+    let (xt910, a73) = (CoreConfig::xt910(), CoreConfig::a73_like());
     quick("fig19_nbench_bitfield", || {
-        let xt = run_ooo(&k.program, &CoreConfig::xt910(), 50_000_000);
-        let a73 = run_ooo(&k.program, &CoreConfig::a73_like(), 50_000_000);
-        xt.perf.cycles + a73.perf.cycles
+        let xt = OooSession::new(&k.program, &xt910, xt910.mem, MAX_INSTS).run_to_end();
+        let base = OooSession::new(&k.program, &a73, a73.mem, MAX_INSTS).run_to_end();
+        xt.perf.cycles + base.perf.cycles
     });
 }
 
@@ -80,9 +86,10 @@ fn fig19() {
 fn fig20() {
     let native = eembc::fir(&CompileOpts::native());
     let opt = eembc::fir(&CompileOpts::optimized());
+    let xt910 = CoreConfig::xt910();
     quick("fig20_toolchain_fir", || {
-        let n = run_ooo(&native.program, &CoreConfig::xt910(), 50_000_000);
-        let o = run_ooo(&opt.program, &CoreConfig::xt910(), 50_000_000);
+        let n = OooSession::new(&native.program, &xt910, xt910.mem, MAX_INSTS).run_to_end();
+        let o = OooSession::new(&opt.program, &xt910, xt910.mem, MAX_INSTS).run_to_end();
         n.perf.cycles + o.perf.cycles
     });
 }
@@ -90,6 +97,7 @@ fn fig20() {
 /// Fig. 21: STREAM prefetch on/off (reduced array size).
 fn fig21() {
     let k = stream::stream(8 * 1024);
+    let xt910 = CoreConfig::xt910();
     quick("fig21_stream_prefetch", || {
         let mut total = 0;
         for pf in [PrefetchConfig::off(), PrefetchConfig::all_large()] {
@@ -100,9 +108,8 @@ fn fig21() {
                 prefetch: pf,
                 ..MemConfig::default()
             };
-            total += run_ooo_with_mem(&k.program, &CoreConfig::xt910(), mem, 50_000_000)
-                .perf
-                .cycles;
+            let r = OooSession::new(&k.program, &xt910, mem, MAX_INSTS).run_to_end();
+            total += r.perf.cycles;
         }
         total
     });
@@ -111,16 +118,20 @@ fn fig21() {
 /// §X vector MACs.
 fn vector_mac() {
     let v = ai::dot_vector();
+    let xt910 = CoreConfig::xt910();
     quick("vector_mac_dot", || {
-        run_ooo(&v.program, &CoreConfig::xt910(), 50_000_000).perf.cycles
+        let r = OooSession::new(&v.program, &xt910, xt910.mem, MAX_INSTS).run_to_end();
+        r.perf.cycles
     });
 }
 
 /// §I blockchain kernel.
 fn blockchain_bench() {
     let k = blockchain::hash_verify(true);
+    let xt910 = CoreConfig::xt910();
     quick("blockchain_hash_ext", || {
-        run_ooo(&k.program, &CoreConfig::xt910(), 50_000_000).perf.cycles
+        let r = OooSession::new(&k.program, &xt910, xt910.mem, MAX_INSTS).run_to_end();
+        r.perf.cycles
     });
 }
 

@@ -24,10 +24,11 @@
 //! (`xt-figures diff`; see docs/VECTOR.md §"The figures artifact").
 
 use crate::figures::{fig18, fig19, fig20, Figure};
-use crate::run_on_xt910;
+use crate::run_kernel;
 use xt_compiler::CompileOpts;
-use xt_core::StallCause;
+use xt_core::{CoreConfig, OooCore, StallCause};
 use xt_perf::json::Value;
+use xt_trace::lanes::esc;
 use xt_workloads::vecbench;
 
 /// One cell of the ablation grid: a kernel under one (ISA, tuning)
@@ -65,12 +66,13 @@ impl GridRun {
 /// Runs the full 4-kernel × 4-cell grid on the XT-910 model. Every run
 /// self-checks (wrong guest results abort rather than skewing figures).
 pub fn run_grid() -> Vec<GridRun> {
+    let xt910 = CoreConfig::xt910();
     let mut out = Vec::new();
     for &(vector, isa) in &[(false, "rv64gc"), (true, "rv64gcv")] {
         for &(tuned, tuning) in &[(false, "base"), (true, "tuned")] {
             let opts = CompileOpts::ablation(vector, tuned);
             for k in vecbench::all(&opts) {
-                let r = run_on_xt910(&k);
+                let r = run_kernel::<OooCore>(&k, &xt910, xt910.mem);
                 out.push(GridRun {
                     kernel: k.name,
                     isa,
@@ -107,10 +109,6 @@ pub fn speedups(grid: &[GridRun]) -> Vec<(&'static str, f64)> {
             (k, best / base)
         })
         .collect()
-}
-
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn figure_json(name: &str, f: &Figure, out: &mut String) {

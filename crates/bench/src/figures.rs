@@ -1,9 +1,10 @@
 //! The main figure/table reproductions (Figs. 17-21, Tables I-II,
 //! §X SPECInt, §X vector MACs, §V-E ASID).
 
-use crate::{geomean, run_on_a73like, run_on_u74like, run_on_xt910, run_on_xt910_mem, COREMARK_SCALE};
+use crate::{geomean, run_kernel, COREMARK_SCALE};
 use std::fmt;
 use xt_compiler::CompileOpts;
+use xt_core::{CoreConfig, InOrderCore, OooCore};
 use xt_mem::{MemConfig, MemSystem, PrefetchConfig};
 use xt_workloads::{ai, blockchain, coremark, eembc, nbench, spec_like, stream};
 
@@ -82,10 +83,11 @@ pub fn table2() -> String {
 pub fn fig17() -> Figure {
     let suite = coremark::all(&CompileOpts::optimized());
     let score = |cycles: u64, work: u64| COREMARK_SCALE * work as f64 / cycles as f64;
+    let (xt910, u74) = (CoreConfig::xt910(), CoreConfig::u74_like());
     let (mut xt_c, mut u74_c, mut work) = (0u64, 0u64, 0u64);
     for k in &suite {
-        xt_c += run_on_xt910(k).perf.cycles;
-        u74_c += run_on_u74like(k).perf.cycles;
+        xt_c += run_kernel::<OooCore>(k, &xt910, xt910.mem).perf.cycles;
+        u74_c += run_kernel::<InOrderCore>(k, &u74, u74.mem).perf.cycles;
         work += k.work;
     }
     let xt = score(xt_c, work);
@@ -117,11 +119,12 @@ pub fn fig17() -> Figure {
 /// (paper: XT-910 ≈ parity, per-kernel scatter around 1.0).
 pub fn fig18() -> Figure {
     let suite = eembc::all(&CompileOpts::optimized());
+    let (xt910, a73_cfg) = (CoreConfig::xt910(), CoreConfig::a73_like());
     let mut rows = Vec::new();
     let mut ratios = Vec::new();
     for k in &suite {
-        let xt = run_on_xt910(k).perf.cycles as f64;
-        let a73 = run_on_a73like(k).perf.cycles as f64;
+        let xt = run_kernel::<OooCore>(k, &xt910, xt910.mem).perf.cycles as f64;
+        let a73 = run_kernel::<OooCore>(k, &a73_cfg, a73_cfg.mem).perf.cycles as f64;
         let norm = a73 / xt;
         ratios.push(norm);
         rows.push(Row {
@@ -146,11 +149,12 @@ pub fn fig18() -> Figure {
 /// (paper: overall parity).
 pub fn fig19() -> Figure {
     let suite = nbench::all(&CompileOpts::optimized());
+    let (xt910, a73_cfg) = (CoreConfig::xt910(), CoreConfig::a73_like());
     let mut rows = Vec::new();
     let mut ratios = Vec::new();
     for k in &suite {
-        let xt = run_on_xt910(k).perf.cycles as f64;
-        let a73 = run_on_a73like(k).perf.cycles as f64;
+        let xt = run_kernel::<OooCore>(k, &xt910, xt910.mem).perf.cycles as f64;
+        let a73 = run_kernel::<OooCore>(k, &a73_cfg, a73_cfg.mem).perf.cycles as f64;
         let norm = a73 / xt;
         ratios.push(norm);
         rows.push(Row {
@@ -184,9 +188,10 @@ pub fn fig20() -> Figure {
         .into_iter()
         .chain(eembc::all(&CompileOpts::optimized()))
         .collect();
+    let xt910 = CoreConfig::xt910();
     for (n, o) in native.iter().zip(&optimized) {
-        let cn = run_on_xt910(n).perf.cycles as f64;
-        let co = run_on_xt910(o).perf.cycles as f64;
+        let cn = run_kernel::<OooCore>(n, &xt910, xt910.mem).perf.cycles as f64;
+        let co = run_kernel::<OooCore>(o, &xt910, xt910.mem).perf.cycles as f64;
         let speedup = cn / co;
         ratios.push(speedup);
         rows.push(Row {
@@ -229,7 +234,8 @@ pub fn fig21() -> Figure {
             prefetch: *pf,
             ..MemConfig::default()
         };
-        cycles.push(run_on_xt910_mem(&kernel, mem).perf.cycles as f64);
+        let r = run_kernel::<OooCore>(&kernel, &CoreConfig::xt910(), mem);
+        cycles.push(r.perf.cycles as f64);
     }
     let base = cycles[0];
     Figure {
@@ -252,8 +258,9 @@ pub fn fig21() -> Figure {
 /// XT-910 ≈ 0.91x).
 pub fn specint() -> Figure {
     let k = spec_like::spec_like();
-    let xt = run_on_xt910(&k).perf.cycles as f64;
-    let a73 = run_on_a73like(&k).perf.cycles as f64;
+    let (xt910, a73_cfg) = (CoreConfig::xt910(), CoreConfig::a73_like());
+    let xt = run_kernel::<OooCore>(&k, &xt910, xt910.mem).perf.cycles as f64;
+    let a73 = run_kernel::<OooCore>(&k, &a73_cfg, a73_cfg.mem).perf.cycles as f64;
     Figure {
         title: "SPECInt-class system metric".into(),
         unit: "normalized perf (A73-class = 1.0)".into(),
@@ -279,10 +286,9 @@ pub fn vector_mac() -> Figure {
     let xmac = ai::dot_scalar(true);
     let vector = ai::dot_vector();
     let f16 = ai::dot_f16();
-    let r_s = run_on_xt910(&scalar);
-    let r_m = run_on_xt910(&xmac);
-    let r_v = run_on_xt910(&vector);
-    let r_h = run_on_xt910(&f16);
+    let xt910 = CoreConfig::xt910();
+    let run = |k| run_kernel::<OooCore>(k, &xt910, xt910.mem);
+    let (r_s, r_m, r_v, r_h) = (run(&scalar), run(&xmac), run(&vector), run(&f16));
     let macs_per_cycle = |work: u64, cycles: u64| work as f64 / cycles as f64;
     Figure {
         title: "Vector 16-bit MAC throughput".into(),
@@ -325,8 +331,9 @@ pub fn vector_mac() -> Figure {
 pub fn blockchain_fig() -> Figure {
     let base = blockchain::hash_verify(false);
     let ext = blockchain::hash_verify(true);
-    let cb = run_on_xt910(&base).perf.cycles as f64;
-    let ce = run_on_xt910(&ext).perf.cycles as f64;
+    let xt910 = CoreConfig::xt910();
+    let cb = run_kernel::<OooCore>(&base, &xt910, xt910.mem).perf.cycles as f64;
+    let ce = run_kernel::<OooCore>(&ext, &xt910, xt910.mem).perf.cycles as f64;
     Figure {
         title: "Blockchain hash-verify kernel".into(),
         unit: "speedup from custom extensions".into(),

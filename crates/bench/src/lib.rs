@@ -16,7 +16,7 @@ pub mod report;
 
 pub use figures::*;
 
-use xt_core::{run_inorder, run_ooo, run_ooo_with_mem, CoreConfig, RunReport};
+use xt_core::{CoreConfig, CoreModel, RunReport, Session};
 use xt_mem::MemConfig;
 use xt_workloads::Kernel;
 
@@ -26,35 +26,16 @@ use xt_workloads::Kernel;
 /// between machines is calibration-free).
 pub const COREMARK_SCALE: f64 = 100.0;
 
-/// Runs `kernel` on the XT-910 out-of-order model.
-pub fn run_on_xt910(kernel: &Kernel) -> RunReport {
-    let r = run_ooo(&kernel.program, &CoreConfig::xt910(), 500_000_000);
-    check(kernel, &r);
-    r
-}
-
-/// Runs `kernel` on the A73-class reference machine.
-pub fn run_on_a73like(kernel: &Kernel) -> RunReport {
-    let r = run_ooo(&kernel.program, &CoreConfig::a73_like(), 500_000_000);
-    check(kernel, &r);
-    r
-}
-
-/// Runs `kernel` on the U74-class in-order baseline.
-pub fn run_on_u74like(kernel: &Kernel) -> RunReport {
-    let r = run_inorder(&kernel.program, &CoreConfig::u74_like(), 500_000_000);
-    check(kernel, &r);
-    r
-}
-
-/// Runs `kernel` on XT-910 with an explicit memory configuration.
-pub fn run_on_xt910_mem(kernel: &Kernel, mem: MemConfig) -> RunReport {
-    let r = run_ooo_with_mem(&kernel.program, &CoreConfig::xt910(), mem, 500_000_000);
-    check(kernel, &r);
-    r
-}
-
-fn check(kernel: &Kernel, r: &RunReport) {
+/// Runs `kernel` to completion on core model `C` (`OooCore` for the
+/// XT-910 and A73-class machines, `InOrderCore` for the U74-class
+/// baseline) configured by `cfg`, with memory hierarchy `mem`.
+///
+/// # Panics
+///
+/// Panics if the kernel's self-check exit code is wrong — a broken
+/// guest result must abort rather than skew a figure.
+pub fn run_kernel<C: CoreModel>(kernel: &Kernel, cfg: &CoreConfig, mem: MemConfig) -> RunReport {
+    let r = Session::<C>::new(&kernel.program, cfg, mem, 500_000_000).run_to_end();
     if let (Some(want), Some(got)) = (kernel.expected, r.exit_code) {
         assert_eq!(
             got, want,
@@ -62,6 +43,7 @@ fn check(kernel: &Kernel, r: &RunReport) {
             kernel.name
         );
     }
+    r
 }
 
 /// Geometric mean of a slice of ratios.
@@ -85,7 +67,8 @@ mod tests {
     #[test]
     fn kernel_runs_are_checked() {
         let k = xt_workloads::coremark::crc(&xt_compiler::CompileOpts::optimized());
-        let r = run_on_xt910(&k);
+        let cfg = CoreConfig::xt910();
+        let r = run_kernel::<xt_core::OooCore>(&k, &cfg, cfg.mem);
         assert!(r.perf.instructions > 0);
         assert_eq!(r.exit_code, k.expected);
     }

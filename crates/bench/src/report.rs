@@ -16,11 +16,12 @@
 use crate::multicore::MulticoreSection;
 use xt_asm::{Asm, Program};
 use xt_core::{
-    run_inorder_with_mem, run_ooo_traced, run_ooo_with_mem, CoreConfig, InOrderSession,
-    OooSession, RunReport, StallCause, TraceBuffer,
+    CoreConfig, CoreModel, InOrderCore, OooCore, OooSession, RunReport, Session, StallCause,
+    TraceBuffer,
 };
 use xt_isa::reg::Gpr;
 use xt_mem::{MemConfig, PrefetchConfig};
+use xt_perf::json::json_f64;
 use xt_workloads::stream::{stream, STREAM_ELEMS};
 
 /// Dynamic-instruction budget per report run.
@@ -103,55 +104,28 @@ const WHAT_BRANCHY: &str =
     "An LCG-parity data-dependent branch per iteration (essentially unpredictable): \
      mispredict flushes dominate (MispredictFlush attribution, §III-A penalty).";
 
-/// Runs `prog` on the out-of-order model, interrupting it with a
-/// save/restore cycle every `every` retired instructions: each snapshot
-/// is restored into a *fresh* session which then carries the run
-/// forward. The report must be bit-identical to an uninterrupted run
-/// (docs/SNAPSHOT.md); `xt-report --snapshot-every` asserts exactly
-/// that.
-fn run_ooo_snapshotted(
+/// Runs `prog` to completion on core model `C`. With `snapshot_every =
+/// Some(n)` the run is interrupted by a save/restore cycle every `n`
+/// retired instructions: each snapshot is restored into a *fresh*
+/// session which then carries the run forward. The report must be
+/// bit-identical to an uninterrupted run (docs/SNAPSHOT.md);
+/// `xt-report --snapshot-every` asserts exactly that.
+fn run_cell<C: CoreModel>(
     prog: &Program,
     cfg: &CoreConfig,
     mem_cfg: MemConfig,
-    max_insts: u64,
-    every: u64,
+    snapshot_every: Option<u64>,
 ) -> RunReport {
+    let mut s = Session::<C>::new(prog, cfg, mem_cfg, MAX_INSTS);
+    let Some(every) = snapshot_every else {
+        return s.run_to_end();
+    };
     let every = every.max(1);
-    let mut s = OooSession::ooo_with_mem(prog, cfg, mem_cfg, max_insts);
-    loop {
-        if s.run_insts(every) < every {
-            break;
-        }
+    while s.run_insts(every) == every {
         let snap = s.save();
-        let mut fresh = OooSession::ooo_with_mem(prog, cfg, mem_cfg, max_insts);
-        fresh
-            .restore(&snap)
+        s = Session::new(prog, cfg, mem_cfg, MAX_INSTS);
+        s.restore(&snap)
             .expect("snapshot restores into an identically configured session");
-        s = fresh;
-    }
-    s.finish_report()
-}
-
-/// In-order twin of [`run_ooo_snapshotted`].
-fn run_inorder_snapshotted(
-    prog: &Program,
-    cfg: &CoreConfig,
-    mem_cfg: MemConfig,
-    max_insts: u64,
-    every: u64,
-) -> RunReport {
-    let every = every.max(1);
-    let mut s = InOrderSession::inorder_with_mem(prog, cfg, mem_cfg, max_insts);
-    loop {
-        if s.run_insts(every) < every {
-            break;
-        }
-        let snap = s.save();
-        let mut fresh = InOrderSession::inorder_with_mem(prog, cfg, mem_cfg, max_insts);
-        fresh
-            .restore(&snap)
-            .expect("snapshot restores into an identically configured session");
-        s = fresh;
     }
     s.finish_report()
 }
@@ -187,62 +161,37 @@ fn run_all_with(smoke: bool, snapshot_every: Option<u64>) -> Vec<WorkloadResult>
         machine: report.machine,
         report,
     };
-    let run_o = |prog: &Program, cfg: &CoreConfig, mem: MemConfig| match snapshot_every {
-        Some(n) => run_ooo_snapshotted(prog, cfg, mem, MAX_INSTS, n),
-        None => run_ooo_with_mem(prog, cfg, mem, MAX_INSTS),
-    };
-    let run_i = |prog: &Program, cfg: &CoreConfig, mem: MemConfig| match snapshot_every {
-        Some(n) => run_inorder_snapshotted(prog, cfg, mem, MAX_INSTS, n),
-        None => run_inorder_with_mem(prog, cfg, mem, MAX_INSTS),
-    };
+    let ooo =
+        |prog: &Program, mem: MemConfig| run_cell::<OooCore>(prog, &xt910, mem, snapshot_every);
+    let inorder =
+        |prog: &Program, mem: MemConfig| run_cell::<InOrderCore>(prog, &u74, mem, snapshot_every);
 
     vec![
         cell(
             "stream_pf_off",
             WHAT_STREAM_OFF,
-            run_o(&stream_k.program, &xt910, mem_cfg(PrefetchConfig::off())),
+            ooo(&stream_k.program, mem_cfg(PrefetchConfig::off())),
         ),
         cell(
             "stream_pf_off",
             WHAT_STREAM_OFF,
-            run_i(&stream_k.program, &u74, mem_cfg(PrefetchConfig::off())),
+            inorder(&stream_k.program, mem_cfg(PrefetchConfig::off())),
         ),
         cell(
             "stream_pf_on",
             WHAT_STREAM_ON,
-            run_o(
-                &stream_k.program,
-                &xt910,
-                mem_cfg(PrefetchConfig::all_large()),
-            ),
+            ooo(&stream_k.program, mem_cfg(PrefetchConfig::all_large())),
         ),
         cell(
             "stream_pf_on",
             WHAT_STREAM_ON,
-            run_i(
-                &stream_k.program,
-                &u74,
-                mem_cfg(PrefetchConfig::all_large()),
-            ),
+            inorder(&stream_k.program, mem_cfg(PrefetchConfig::all_large())),
         ),
-        cell("depchain", WHAT_DEPCHAIN, run_o(&dep, &xt910, xt910.mem)),
-        cell("depchain", WHAT_DEPCHAIN, run_i(&dep, &u74, u74.mem)),
-        cell("branchy", WHAT_BRANCHY, run_o(&brn, &xt910, xt910.mem)),
-        cell("branchy", WHAT_BRANCHY, run_i(&brn, &u74, u74.mem)),
+        cell("depchain", WHAT_DEPCHAIN, ooo(&dep, xt910.mem)),
+        cell("depchain", WHAT_DEPCHAIN, inorder(&dep, u74.mem)),
+        cell("branchy", WHAT_BRANCHY, ooo(&brn, xt910.mem)),
+        cell("branchy", WHAT_BRANCHY, inorder(&brn, u74.mem)),
     ]
-}
-
-/// Formats a float the way the workspace's hand-rolled JSON does:
-/// finite values with a decimal point, non-finite as `null`.
-fn json_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_string();
-    }
-    let mut s = format!("{v}");
-    if !s.contains('.') {
-        s.push_str(".0");
-    }
-    s
 }
 
 /// Renders the multicore section as a JSON fragment (the `"multicore"`
@@ -421,8 +370,11 @@ pub fn render_markdown(
 /// Runs the dependency-chain microbench traced on the XT-910 model and
 /// returns the trace buffer (for `xt-report --trace`).
 pub fn traced_depchain(iters: i64) -> TraceBuffer {
-    let (_, trace) = run_ooo_traced(&depchain(iters), &CoreConfig::xt910(), MAX_INSTS);
-    trace
+    let cfg = CoreConfig::xt910();
+    let mut s = OooSession::new(&depchain(iters), &cfg, cfg.mem, MAX_INSTS);
+    s.attach_tracer();
+    s.run_to_end();
+    s.take_tracer().expect("tracer was attached")
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@
 //!    candidates).
 
 use crate::progen::ProgSpec;
-use xt_core::{CoreConfig, InOrderCore, OooCore};
+use xt_core::{CoreConfig, InOrderSession, OooCore};
 use xt_emu::{Emulator, TraceSource};
 use xt_mem::{MemStats, MemSystem};
 use xt_perf::Sampler;
@@ -193,12 +193,7 @@ pub fn check_invariants(spec: &ProgSpec) -> Result<TimingSummary, String> {
     }
 
     // ---- in-order baseline ----
-    let mut emu = Emulator::new();
-    emu.load(&prog);
-    let trace = TraceSource::new(emu, MAX_INSTS);
-    let mut mem = MemSystem::new(cfg.mem);
-    let mut inorder = InOrderCore::new(cfg.clone(), 0);
-    let report = inorder.run_to_end(trace, &mut mem);
+    let report = InOrderSession::new(&prog, &cfg, cfg.mem, MAX_INSTS).run_to_end();
     let inorder_cycles = report.perf.cycles;
     // the classifier is always-on, so the conservation laws must hold
     // on the in-order core's hierarchy too

@@ -65,7 +65,8 @@ pub struct CoreConfig {
     /// Dual-issue LSU: one load + one store per cycle (§V-A). When off,
     /// a single AGU is shared. Ablation.
     pub dual_issue_lsu: bool,
-    /// Memory-system configuration used by the convenience runners.
+    /// Memory-system configuration a [`crate::Session`] is usually built
+    /// with (`Session::new(prog, &cfg, cfg.mem, max_insts)`).
     pub mem: MemConfig,
 }
 

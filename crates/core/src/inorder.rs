@@ -12,7 +12,7 @@ use crate::config::CoreConfig;
 use crate::ifu::{FrontEnd, Redirect};
 use crate::perf::{PerfCounters, RunReport, StallCause};
 use crate::resources::{Bandwidth, PipeGroup};
-use xt_emu::{DynInst, TraceSource};
+use xt_emu::DynInst;
 use xt_isa::ExecClass;
 use xt_mem::MemSystem;
 use xt_trace::{FlushCause, FlushEvent, InstRecord, TraceBuffer, TraceSink};
@@ -65,14 +65,6 @@ impl InOrderCore {
             core_id,
             cfg,
         }
-    }
-
-    /// Consumes the whole trace and produces the report.
-    pub fn run_to_end(&mut self, mut trace: TraceSource, mem: &mut MemSystem) -> RunReport {
-        for d in trace.by_ref() {
-            self.step(&d, mem);
-        }
-        self.finish_report(mem, trace.exit_code)
     }
 
     /// Seals the counters after the last [`Self::step`] and produces the
@@ -373,7 +365,7 @@ mod tests {
         build(&mut a);
         a.halt();
         let p = a.finish().unwrap();
-        crate::run_inorder(&p, &cfg, 10_000_000)
+        crate::InOrderSession::new(&p, &cfg, cfg.mem, 10_000_000).run_to_end()
     }
 
     #[test]
@@ -414,8 +406,9 @@ mod tests {
         build(&mut a1);
         a1.halt();
         let p = a1.finish().unwrap();
-        let ooo = crate::run_ooo(&p, &CoreConfig::xt910(), 10_000_000);
-        let ino = crate::run_inorder(&p, &CoreConfig::u74_like(), 10_000_000);
+        let (xt910, u74) = (CoreConfig::xt910(), CoreConfig::u74_like());
+        let ooo = crate::OooSession::new(&p, &xt910, xt910.mem, 10_000_000).run_to_end();
+        let ino = crate::InOrderSession::new(&p, &u74, u74.mem, 10_000_000).run_to_end();
         assert!(
             ooo.perf.cycles < ino.perf.cycles,
             "OoO {} vs in-order {}",

@@ -30,7 +30,7 @@
 //!
 //! ```
 //! use xt_asm::Asm;
-//! use xt_core::{CoreConfig, run_ooo};
+//! use xt_core::{CoreConfig, OooSession};
 //! use xt_isa::reg::Gpr;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -42,7 +42,8 @@
 //! a.halt();
 //! let prog = a.finish()?;
 //!
-//! let report = run_ooo(&prog, &CoreConfig::xt910(), 1_000_000);
+//! let cfg = CoreConfig::xt910();
+//! let report = OooSession::new(&prog, &cfg, cfg.mem, 1_000_000).run_to_end();
 //! assert!(report.perf.ipc() > 1.0, "tight loop should sustain >1 IPC");
 //! # Ok(())
 //! # }
@@ -63,97 +64,5 @@ pub use config::CoreConfig;
 pub use inorder::InOrderCore;
 pub use ooo::OooCore;
 pub use perf::{PerfCounters, RunReport, StallCause, NUM_STALL_CAUSES};
-pub use session::{InOrderSession, OooSession, Session};
+pub use session::{CoreModel, InOrderSession, OooSession, Session};
 pub use xt_trace::TraceBuffer;
-
-use xt_asm::Program;
-use xt_emu::{Emulator, TraceSource};
-use xt_mem::{MemConfig, MemSystem};
-
-/// Convenience: run `prog` on the out-of-order model with a private
-/// memory system, returning the performance report.
-pub fn run_ooo(prog: &Program, cfg: &CoreConfig, max_insts: u64) -> RunReport {
-    let mut emu = Emulator::new();
-    emu.load(prog);
-    let trace = TraceSource::new(emu, max_insts);
-    let mut mem = MemSystem::new(cfg.mem);
-    let mut core = OooCore::new(cfg.clone(), 0);
-    core.run_to_end(trace, &mut mem)
-}
-
-/// Convenience: run `prog` on the in-order baseline model.
-pub fn run_inorder(prog: &Program, cfg: &CoreConfig, max_insts: u64) -> RunReport {
-    let mut emu = Emulator::new();
-    emu.load(prog);
-    let trace = TraceSource::new(emu, max_insts);
-    let mut mem = MemSystem::new(cfg.mem);
-    let mut core = InOrderCore::new(cfg.clone(), 0);
-    core.run_to_end(trace, &mut mem)
-}
-
-/// Convenience: run with an explicit memory configuration.
-pub fn run_ooo_with_mem(
-    prog: &Program,
-    cfg: &CoreConfig,
-    mem_cfg: MemConfig,
-    max_insts: u64,
-) -> RunReport {
-    let mut emu = Emulator::new();
-    emu.load(prog);
-    let trace = TraceSource::new(emu, max_insts);
-    let mut mem = MemSystem::new(mem_cfg);
-    let mut core = OooCore::new(cfg.clone(), 0);
-    core.run_to_end(trace, &mut mem)
-}
-
-/// Convenience: run the in-order baseline with an explicit memory
-/// configuration.
-pub fn run_inorder_with_mem(
-    prog: &Program,
-    cfg: &CoreConfig,
-    mem_cfg: MemConfig,
-    max_insts: u64,
-) -> RunReport {
-    let mut emu = Emulator::new();
-    emu.load(prog);
-    let trace = TraceSource::new(emu, max_insts);
-    let mut mem = MemSystem::new(mem_cfg);
-    let mut core = InOrderCore::new(cfg.clone(), 0);
-    core.run_to_end(trace, &mut mem)
-}
-
-/// Like [`run_ooo`], but with per-instruction pipeline tracing enabled:
-/// also returns the [`TraceBuffer`] holding one record per committed
-/// instruction (render with [`TraceBuffer::to_konata`] /
-/// [`TraceBuffer::to_chrome_json`]).
-pub fn run_ooo_traced(
-    prog: &Program,
-    cfg: &CoreConfig,
-    max_insts: u64,
-) -> (RunReport, TraceBuffer) {
-    let mut emu = Emulator::new();
-    emu.load(prog);
-    let trace = TraceSource::new(emu, max_insts);
-    let mut mem = MemSystem::new(cfg.mem);
-    let mut core = OooCore::new(cfg.clone(), 0);
-    core.attach_tracer();
-    let report = core.run_to_end(trace, &mut mem);
-    (report, core.take_tracer().expect("tracer was attached"))
-}
-
-/// Like [`run_inorder`], but with per-instruction pipeline tracing
-/// enabled (see [`run_ooo_traced`]).
-pub fn run_inorder_traced(
-    prog: &Program,
-    cfg: &CoreConfig,
-    max_insts: u64,
-) -> (RunReport, TraceBuffer) {
-    let mut emu = Emulator::new();
-    emu.load(prog);
-    let trace = TraceSource::new(emu, max_insts);
-    let mut mem = MemSystem::new(cfg.mem);
-    let mut core = InOrderCore::new(cfg.clone(), 0);
-    core.attach_tracer();
-    let report = core.run_to_end(trace, &mut mem);
-    (report, core.take_tracer().expect("tracer was attached"))
-}

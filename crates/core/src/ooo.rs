@@ -15,16 +15,16 @@ use crate::ifu::{FrontEnd, Redirect};
 use crate::lsu::Lsu;
 use crate::perf::{PerfCounters, RunReport, StallCause};
 use crate::resources::{Bandwidth, PipeGroup, SlotLimiter, Window};
-use xt_emu::{DynInst, TraceSource};
+use xt_emu::DynInst;
 use xt_isa::{ExecClass, Op, RegFile};
 use xt_mem::MemSystem;
 use xt_trace::{FlushCause, FlushEvent, InstRecord, TraceBuffer, TraceSink};
 
 /// The out-of-order core.
 ///
-/// Besides whole-trace runs ([`Self::run_to_end`]), the core supports
-/// *bounded-epoch* stepping: call [`Self::step`] instruction by
-/// instruction and watch [`Self::cycles`] to stop at an epoch boundary.
+/// Drivers ([`crate::Session`], the `xt-soc` epoch engine) call
+/// [`Self::step`] once per committed instruction; the epoch engine
+/// watches [`Self::cycles`] to stop at an epoch boundary.
 /// All state is plain data (`Send`, asserted below), so the `xt-soc`
 /// epoch engine can move each core onto a worker thread for a cycle
 /// slice and hand it back at the barrier.
@@ -122,18 +122,9 @@ impl OooCore {
         }
     }
 
-    /// Consumes the whole trace and produces the report.
-    pub fn run_to_end(&mut self, mut trace: TraceSource, mem: &mut MemSystem) -> RunReport {
-        for d in trace.by_ref() {
-            self.step(&d, mem);
-        }
-        self.finish_report(mem, trace.exit_code)
-    }
-
     /// Seals the counters after the last [`Self::step`] and produces the
-    /// report. External drivers (the `xt-perf` sampled runners, the
-    /// epoch engine) that step the core themselves call this instead of
-    /// [`Self::run_to_end`].
+    /// report. Drivers ([`crate::Session`], the epoch engine) call this
+    /// once the trace is exhausted or the run is cut.
     pub fn finish_report(&mut self, mem: &MemSystem, exit_code: Option<u64>) -> RunReport {
         self.perf.cycles = self.last_retire.max(self.max_complete);
         self.perf.prefetch_hits = mem
@@ -795,7 +786,7 @@ mod tests {
         build(&mut a);
         a.halt();
         let p = a.finish().unwrap();
-        crate::run_ooo(&p, &cfg, 10_000_000)
+        crate::OooSession::new(&p, &cfg, cfg.mem, 10_000_000).run_to_end()
     }
 
     #[test]
@@ -972,7 +963,7 @@ mod tests {
                 prefetch: pf,
                 ..MemConfig::default()
             };
-            crate::run_ooo_with_mem(&p, &CoreConfig::xt910(), mem_cfg, 10_000_000)
+            crate::OooSession::new(&p, &CoreConfig::xt910(), mem_cfg, 10_000_000).run_to_end()
         };
         let off = stream(PrefetchConfig::off());
         let on = stream(PrefetchConfig::all_large());

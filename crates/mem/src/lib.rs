@@ -39,7 +39,6 @@
 pub mod cache;
 pub mod config;
 pub mod dram;
-pub mod ecc;
 pub mod missclass;
 pub mod prefetch;
 pub mod stats;
@@ -50,7 +49,6 @@ pub mod trace;
 pub use cache::{Cache, LineState};
 pub use config::{MemConfig, PrefetchConfig, PrefetchDistance};
 pub use dram::Dram;
-pub use ecc::{ecc_decode, ecc_encode, parity, parity_ok, EccResult};
 pub use missclass::{MissClass, MissClassifier};
 pub use prefetch::Prefetcher;
 pub use stats::{MemStats, StreamScore};

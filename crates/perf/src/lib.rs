@@ -29,60 +29,26 @@ pub mod topdown;
 pub use sampler::{IntervalSample, MemDelta, PerfDelta, Sampler, TimeSeries};
 pub use topdown::TopDown;
 
-use xt_asm::Program;
-use xt_core::{CoreConfig, InOrderCore, OooCore, RunReport};
-use xt_emu::{Emulator, TraceSource};
-use xt_mem::{MemConfig, MemSystem};
+use xt_core::{CoreModel, RunReport, Session};
 
-/// Runs `prog` on the out-of-order model with a [`Sampler`] attached,
+/// Runs `session` to the end of its trace with a [`Sampler`] attached,
 /// returning the final report plus the interval time-series. Sampling
-/// is read-only: the report is identical to [`xt_core::run_ooo_with_mem`]'s.
-pub fn run_ooo_sampled(
-    prog: &Program,
-    cfg: &CoreConfig,
-    mem_cfg: MemConfig,
-    max_insts: u64,
+/// is read-only: the report is identical to [`Session::run_to_end`]'s.
+pub fn run_sampled<C: CoreModel>(
+    session: &mut Session<C>,
     interval: u64,
 ) -> (RunReport, TimeSeries) {
-    let mut emu = Emulator::new();
-    emu.load(prog);
-    let mut trace = TraceSource::new(emu, max_insts);
-    let mut mem = MemSystem::new(mem_cfg);
-    let mut core = OooCore::new(cfg.clone(), 0);
     let mut sampler = Sampler::new(0, interval);
-    for d in trace.by_ref() {
-        core.step(&d, &mut mem);
-        if sampler.due(core.cycles()) {
-            sampler.observe(core.cycles(), core.perf(), &mem.stats());
+    while session.step() {
+        if sampler.due(session.cycles()) {
+            sampler.observe(
+                session.cycles(),
+                session.core().perf(),
+                &session.mem().stats(),
+            );
         }
     }
-    let report = core.finish_report(&mem, trace.exit_code);
-    let series = sampler.finish(report.perf.cycles, &report.perf, &report.mem);
-    (report, series)
-}
-
-/// Runs `prog` on the in-order baseline with a [`Sampler`] attached
-/// (see [`run_ooo_sampled`]).
-pub fn run_inorder_sampled(
-    prog: &Program,
-    cfg: &CoreConfig,
-    mem_cfg: MemConfig,
-    max_insts: u64,
-    interval: u64,
-) -> (RunReport, TimeSeries) {
-    let mut emu = Emulator::new();
-    emu.load(prog);
-    let mut trace = TraceSource::new(emu, max_insts);
-    let mut mem = MemSystem::new(mem_cfg);
-    let mut core = InOrderCore::new(cfg.clone(), 0);
-    let mut sampler = Sampler::new(0, interval);
-    for d in trace.by_ref() {
-        core.step(&d, &mut mem);
-        if sampler.due(core.cycles()) {
-            sampler.observe(core.cycles(), core.perf(), &mem.stats());
-        }
-    }
-    let report = core.finish_report(&mem, trace.exit_code);
+    let report = session.finish_report();
     let series = sampler.finish(report.perf.cycles, &report.perf, &report.mem);
     (report, series)
 }
@@ -90,7 +56,8 @@ pub fn run_inorder_sampled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xt_asm::Asm;
+    use xt_asm::{Asm, Program};
+    use xt_core::{CoreConfig, InOrderSession, OooSession};
     use xt_isa::reg::Gpr;
 
     fn loop_prog(iters: i64) -> Program {
@@ -108,12 +75,12 @@ mod tests {
     fn sampled_run_conserves_and_matches_plain_run() {
         let prog = loop_prog(500);
         let cfg = CoreConfig::xt910();
-        let (report, series) =
-            run_ooo_sampled(&prog, &cfg, cfg.mem, 1_000_000, 64);
+        let session = || OooSession::new(&prog, &cfg, cfg.mem, 1_000_000);
+        let (report, series) = run_sampled(&mut session(), 64);
         series
             .conserves(&report.perf, &report.mem, 0)
             .expect("conservation");
-        let plain = xt_core::run_ooo(&prog, &cfg, 1_000_000);
+        let plain = session().run_to_end();
         assert_eq!(report.perf, plain.perf, "sampling is read-only");
         assert_eq!(report.mem, plain.mem);
         assert!(series.samples.len() > 1, "run spans several intervals");
@@ -123,12 +90,12 @@ mod tests {
     fn inorder_sampled_run_conserves() {
         let prog = loop_prog(300);
         let cfg = CoreConfig::u74_like();
-        let (report, series) =
-            run_inorder_sampled(&prog, &cfg, cfg.mem, 1_000_000, 32);
+        let session = || InOrderSession::new(&prog, &cfg, cfg.mem, 1_000_000);
+        let (report, series) = run_sampled(&mut session(), 32);
         series
             .conserves(&report.perf, &report.mem, 0)
             .expect("conservation");
-        let plain = xt_core::run_inorder(&prog, &cfg, 1_000_000);
+        let plain = session().run_to_end();
         assert_eq!(report.perf, plain.perf);
     }
 }

@@ -17,11 +17,11 @@
 //! that is what `scripts/ci.sh` pins with `diff --tolerance 0`.
 
 use crate::json::{json_f64, Value};
+use crate::run_sampled;
 use crate::sampler::TimeSeries;
 use crate::topdown::TopDown;
-use crate::{run_inorder_sampled, run_ooo_sampled};
 use xt_asm::{Asm, Program};
-use xt_core::{CoreConfig, RunReport};
+use xt_core::{CoreConfig, InOrderSession, OooSession, RunReport};
 use xt_isa::reg::Gpr;
 use xt_mem::{MemConfig, PrefetchConfig};
 use xt_soc::ClusterSim;
@@ -229,32 +229,35 @@ pub fn run_all(smoke: bool) -> Vec<StatRun> {
     let brn = branchy(branchy_iters);
     let phs = phased(alu_i, chase_i, brn_i, chain);
 
-    let ooo = |workload, prog: &Program, mc: MemConfig| {
-        let (report, series) = run_ooo_sampled(prog, &xt910, mc, MAX_INSTS, interval);
-        StatRun {
-            workload,
-            machine: report.machine,
-            report,
-            series,
-        }
+    let cell = |workload, (report, series): (RunReport, TimeSeries)| StatRun {
+        workload,
+        machine: report.machine,
+        report,
+        series,
     };
-    let ino = |workload, prog: &Program, mc: MemConfig| {
-        let (report, series) = run_inorder_sampled(prog, &u74, mc, MAX_INSTS, interval);
-        StatRun {
-            workload,
-            machine: report.machine,
-            report,
-            series,
-        }
+    let ooo = |prog: &Program, mc: MemConfig| {
+        run_sampled(&mut OooSession::new(prog, &xt910, mc, MAX_INSTS), interval)
     };
 
     vec![
-        ooo("stream_pf_off", &stream_k.program, mem_cfg(PrefetchConfig::off())),
-        ooo("stream_pf_on", &stream_k.program, mem_cfg(PrefetchConfig::all_large())),
-        ooo("depchain", &dep, xt910.mem),
-        ino("depchain", &dep, u74.mem),
-        ooo("branchy", &brn, xt910.mem),
-        ooo("phased", &phs, xt910.mem),
+        cell(
+            "stream_pf_off",
+            ooo(&stream_k.program, mem_cfg(PrefetchConfig::off())),
+        ),
+        cell(
+            "stream_pf_on",
+            ooo(&stream_k.program, mem_cfg(PrefetchConfig::all_large())),
+        ),
+        cell("depchain", ooo(&dep, xt910.mem)),
+        cell(
+            "depchain",
+            run_sampled(
+                &mut InOrderSession::new(&dep, &u74, u74.mem, MAX_INSTS),
+                interval,
+            ),
+        ),
+        cell("branchy", ooo(&brn, xt910.mem)),
+        cell("phased", ooo(&phs, xt910.mem)),
     ]
 }
 

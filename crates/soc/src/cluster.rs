@@ -24,8 +24,8 @@
 //! state and the barrier runs serially in a fixed order, so the result
 //! — [`PerfCounters`], [`MemStats`], exit codes, pipeline traces — is
 //! bit-identical for any host thread count ([`ClusterSim::run_threads`]
-//! with 1, 2, 4, … threads, or the inline [`ClusterSim::run_sequential`]
-//! oracle). `tests/determinism.rs` and the `xt-check` cluster suite
+//! with 1, 2, 4, … threads; 1 runs every slice inline on the calling
+//! thread). `tests/determinism.rs` and the `xt-check` cluster suite
 //! enforce this; docs/CLUSTER.md derives it.
 
 use crate::bus::{bus_of, bus_of_mut, MmioBus};
@@ -58,8 +58,8 @@ pub struct EngineStats {
     /// Host nanoseconds inside the serial barrier (drain/replay,
     /// store propagation, gated-instruction release).
     pub serial_ns: u64,
-    /// Host nanoseconds inside the slice phase (worker threads or the
-    /// inline sequential oracle).
+    /// Host nanoseconds inside the slice phase (worker threads, or
+    /// inline at one thread).
     pub parallel_ns: u64,
 }
 
@@ -342,21 +342,7 @@ impl ClusterSim {
     /// count). Cores are partitioned into contiguous chunks, one scoped
     /// thread per chunk per epoch; the barrier is always serial.
     pub fn run_threads(mut self, threads: usize) -> ClusterReport {
-        if self.slots.len() == 1 {
-            return self.run_single();
-        }
         while !self.step_epochs(1, threads) {}
-        self.into_report()
-    }
-
-    /// Runs the identical epoch/barrier pipeline inline on the calling
-    /// thread — the obviously-sequential oracle the determinism tests
-    /// compare the threaded runs against.
-    pub fn run_sequential(mut self) -> ClusterReport {
-        if self.slots.len() == 1 {
-            return self.run_single();
-        }
-        while !self.step_epochs(1, 1) {}
         self.into_report()
     }
 
@@ -486,43 +472,6 @@ impl ClusterSim {
     /// Assembles the report after a [`ClusterSim::step_epochs`]-driven
     /// run (or mid-run, for the instructions consumed so far).
     pub fn into_report(self) -> ClusterReport {
-        self.finish()
-    }
-
-    /// Single-core fast path: no replicas, no epochs — the core steps
-    /// straight against the master hierarchy.
-    fn run_single(mut self) -> ClusterReport {
-        let t0 = Instant::now();
-        let slot = &mut self.slots[0];
-        loop {
-            match slot.trace.try_next() {
-                TraceEvent::Inst(d) => {
-                    slot.core.step(&d, &mut self.master);
-                    slot.steps += 1;
-                    if slot.steps >= self.max_insts {
-                        break;
-                    }
-                }
-                TraceEvent::Done => break,
-                TraceEvent::Barrier => unreachable!("no cluster gating on a single core"),
-            }
-        }
-        let par_ns = t0.elapsed().as_nanos() as u64;
-        self.engine.parallel_ns += par_ns;
-        // the single-core fast path has no epochs: the timeline gets one
-        // whole-run row so its totals still match the report
-        if self.timeline.is_some() {
-            let cycles = self.slots[0].core.cycles();
-            let steps = self.slots[0].steps;
-            if let Some(tl) = self.timeline.as_mut() {
-                tl.record(EpochSample {
-                    cycles: vec![cycles],
-                    steps: vec![steps],
-                    parallel_ns: par_ns,
-                    serial_ns: 0,
-                });
-            }
-        }
         self.finish()
     }
 
@@ -1067,13 +1016,13 @@ mod tests {
             };
             ClusterSim::new(&progs, &CoreConfig::xt910(), mem_cfg, 1_000_000)
         };
-        let seq = mk().run_sequential();
         let t1 = mk().run_threads(1);
+        let t2 = mk().run_threads(2);
         let t4 = mk().run_threads(4);
-        assert_eq!(seq.cores, t1.cores);
-        assert_eq!(seq.cores, t4.cores);
-        assert_eq!(seq.mem, t1.mem);
-        assert_eq!(seq.mem, t4.mem);
-        assert_eq!(seq.exit_codes, t4.exit_codes);
+        assert_eq!(t1.cores, t2.cores);
+        assert_eq!(t1.cores, t4.cores);
+        assert_eq!(t1.mem, t2.mem);
+        assert_eq!(t1.mem, t4.mem);
+        assert_eq!(t1.exit_codes, t4.exit_codes);
     }
 }

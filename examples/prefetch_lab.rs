@@ -6,7 +6,7 @@
 //! cargo run --release --example prefetch_lab
 //! ```
 
-use xt_core::{run_ooo_with_mem, CoreConfig};
+use xt_core::{CoreConfig, OooSession};
 use xt_mem::{MemConfig, PrefetchConfig};
 use xt_workloads::stream;
 
@@ -24,6 +24,7 @@ fn main() {
         ("L1+L2+TLB, large", PrefetchConfig::all_large()),
         ("L1+L2 large, no TLB", PrefetchConfig::no_tlb_large()),
     ];
+    let xt910 = CoreConfig::xt910();
     let mut baselines = [0u64; 3];
     for (name, pf) in configs {
         let mut row = format!("{name:<26}");
@@ -35,7 +36,7 @@ fn main() {
                 prefetch: pf,
                 ..MemConfig::default()
             };
-            let r = run_ooo_with_mem(&kernel.program, &CoreConfig::xt910(), mem, 100_000_000);
+            let r = OooSession::new(&kernel.program, &xt910, mem, 100_000_000).run_to_end();
             if baselines[k] == 0 {
                 baselines[k] = r.perf.cycles;
             }

@@ -7,7 +7,7 @@
 //! ```
 
 use xt_compiler::{CompileOpts, FuncBuilder, Rval};
-use xt_core::{run_ooo, CoreConfig};
+use xt_core::{CoreConfig, OooSession};
 
 fn saxpy_like() -> FuncBuilder {
     // y[i] += a * x[i] over 64 elements — indexed loads, a MAC, a
@@ -44,6 +44,7 @@ fn saxpy_like() -> FuncBuilder {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let f = saxpy_like();
+    let cfg = CoreConfig::xt910();
     for (name, opts) in [
         ("native RV64GC + stock compiler", CompileOpts::native()),
         ("custom extensions + co-optimized", CompileOpts::optimized()),
@@ -52,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut emu = xt_emu::Emulator::new();
         emu.load(&prog);
         let exit = emu.run(1_000_000)?;
-        let r = run_ooo(&prog, &CoreConfig::xt910(), 1_000_000);
+        let r = OooSession::new(&prog, &cfg, cfg.mem, 1_000_000).run_to_end();
         println!("== {name} ==");
         println!(
             "result {exit}, {} static bytes, {} retired insts, {} cycles (IPC {:.2})",

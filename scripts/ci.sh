@@ -242,6 +242,13 @@ snap_dir=$(mktemp -d)
 (cd "$snap_dir" && "$repo_root/target/release/xt-report" --smoke --snapshot-every 1000)
 rm -rf "$snap_dir"
 
+echo "== hostbench: build + self-tests (its own workspace) =="
+# hostbench/ is a separate cargo workspace with path dependencies on
+# crates/*, so none of the legs above compile it. Build and self-test it
+# here so a public-API change in crates/ cannot break the benchmark and
+# still pass.
+cargo test --release --offline --manifest-path hostbench/Cargo.toml
+
 echo "== hermetic dependency check =="
 # Workspace-local (path) packages have "source": null in cargo metadata;
 # anything from a registry, git, or vendored source is a policy violation.

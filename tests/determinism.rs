@@ -3,12 +3,13 @@
 //!
 //! A 4-core workload mixing private streaming, a contended atomic
 //! counter, and a fence-synchronized producer/consumer pair runs through
-//! the inline sequential oracle and the threaded engine at 1, 2, and 4
-//! workers. Perf counters, memory-system statistics, exit codes, and
-//! Konata pipeline traces must match byte for byte (docs/CLUSTER.md).
+//! the epoch engine at 1 (every slice inline), 2, and 4 workers. Perf
+//! counters, memory-system statistics, exit codes, and Konata pipeline
+//! traces must match byte for byte (docs/CLUSTER.md). A 1-core cluster
+//! must match a plain single-core session.
 
 use xt_asm::{Asm, Program};
-use xt_core::CoreConfig;
+use xt_core::{CoreConfig, OooSession};
 use xt_isa::reg::Gpr;
 use xt_mem::MemConfig;
 use xt_soc::{ClusterReport, ClusterSim};
@@ -95,20 +96,18 @@ fn assert_identical(a: &ClusterReport, b: &ClusterReport, what: &str) {
     }
 }
 
-/// The headline contract: sequential oracle == 1 thread == 2 threads
+/// The headline contract: 1 thread (every slice inline) == 2 threads
 /// == 4 threads, byte for byte, including pipeline traces.
 #[test]
 fn thread_count_does_not_change_results() {
-    let seq = build().run_sequential();
     let t1 = build().run_threads(1);
     let t2 = build().run_threads(2);
     let t4 = build().run_threads(4);
-    assert_identical(&seq, &t1, "sequential vs 1 thread");
-    assert_identical(&seq, &t2, "sequential vs 2 threads");
-    assert_identical(&seq, &t4, "sequential vs 4 threads");
+    assert_identical(&t1, &t2, "1 vs 2 threads");
+    assert_identical(&t1, &t4, "1 vs 4 threads");
     // sanity: the workload really ran
-    assert!(seq.total_instructions() > 40_000);
-    assert!(seq.mem.snoops_sent > 0, "counter cores contend");
+    assert!(t1.total_instructions() > 40_000);
+    assert!(t1.mem.snoops_sent > 0, "counter cores contend");
 }
 
 /// Determinism must hold at every epoch length, including degenerate
@@ -116,9 +115,9 @@ fn thread_count_does_not_change_results() {
 #[test]
 fn thread_count_invariance_across_epoch_lengths() {
     for epoch in [1, 97, 4096, 1 << 20] {
-        let seq = build().with_epoch(epoch).run_sequential();
+        let t1 = build().with_epoch(epoch).run_threads(1);
         let t4 = build().with_epoch(epoch).run_threads(4);
-        assert_identical(&seq, &t4, &format!("epoch {epoch}"));
+        assert_identical(&t1, &t4, &format!("epoch {epoch}"));
     }
 }
 
@@ -138,11 +137,42 @@ fn repeated_runs_are_reproducible() {
 /// traces.
 #[test]
 fn fastpath_does_not_change_cluster_results() {
-    let fast = build().with_fastpath(true).run_sequential();
+    let fast = build().with_fastpath(true).run_threads(1);
     for threads in [1, 2, 4] {
         let on = build().with_fastpath(true).run_threads(threads);
         let off = build().with_fastpath(false).run_threads(threads);
         assert_identical(&fast, &on, &format!("fast, {threads} threads"));
         assert_identical(&fast, &off, &format!("slow, {threads} threads"));
+    }
+}
+
+/// A 1-core cluster has no replicas and no barrier: it steps straight
+/// against the master hierarchy, in epoch-sized chunks. At every epoch
+/// length and thread count it must reproduce a plain single-core
+/// session of the same program — counters, memory stats and exit code.
+#[test]
+fn one_core_cluster_matches_a_session() {
+    let kernel = xt_workloads::stream::stream(2048);
+    let cfg = CoreConfig::xt910();
+    let session = OooSession::new(&kernel.program, &cfg, cfg.mem, MAX_INSTS).run_to_end();
+    assert_eq!(session.exit_code, kernel.expected, "STREAM self-checks");
+    for epoch in [1, 7, 8192, 1 << 20] {
+        for threads in [1, 2] {
+            let progs = std::slice::from_ref(&kernel.program);
+            let r = ClusterSim::new(progs, &cfg, cfg.mem, MAX_INSTS)
+                .with_epoch(epoch)
+                .run_threads(threads);
+            let what = format!("epoch {epoch}, {threads} threads");
+            assert_eq!(r.cores[0], session.perf, "{what}: perf counters differ");
+            assert_eq!(r.mem, session.mem, "{what}: memory-system stats differ");
+            assert_eq!(
+                r.exit_codes[0], session.exit_code,
+                "{what}: exit code differs"
+            );
+            assert!(
+                r.engine.epochs >= session.perf.cycles / epoch,
+                "{what}: epochs counted"
+            );
+        }
     }
 }

@@ -169,15 +169,15 @@ fn event_stream_is_identical_across_thread_counts() {
     }
 }
 
-/// The sequential oracle produces the same stream as the threaded
-/// engine — the replay path and the oracle agree on observability.
+/// The inline 1-thread run produces the same stream as the 4-thread
+/// engine — the replay path agrees on observability at any thread count.
 #[test]
 fn sequential_oracle_matches_threaded_event_stream() {
-    let seq = build(4, true).run_sequential();
+    let seq = build(4, true).run_threads(1);
     let thr = build(4, true).run_threads(4);
-    assert_same_simulation(&seq, &thr, "sequential vs threaded");
+    assert_same_simulation(&seq, &thr, "1 thread vs 4 threads");
     assert!(
         seq.mem_events.as_ref().unwrap().events == thr.mem_events.as_ref().unwrap().events,
-        "sequential and threaded event streams diverge"
+        "1-thread and 4-thread event streams diverge"
     );
 }

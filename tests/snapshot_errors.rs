@@ -22,14 +22,18 @@ fn prog() -> Program {
     a.finish().unwrap()
 }
 
+fn session(cfg: CoreConfig) -> OooSession {
+    OooSession::new(&prog(), &cfg, cfg.mem, MAX_INSTS)
+}
+
 fn frame() -> Vec<u8> {
-    let mut s = OooSession::new_ooo(&prog(), &CoreConfig::xt910(), MAX_INSTS);
+    let mut s = session(CoreConfig::xt910());
     s.run_insts(50);
     s.save()
 }
 
 fn restore(bytes: &[u8]) -> Result<(), SnapshotError> {
-    let mut s = OooSession::new_ooo(&prog(), &CoreConfig::xt910(), MAX_INSTS);
+    let mut s = session(CoreConfig::xt910());
     s.restore(bytes)
 }
 
@@ -135,7 +139,7 @@ fn empty_and_tiny_inputs_never_panic() {
 #[test]
 fn cross_config_restore_reports_mismatch() {
     let snap = frame();
-    let mut other = OooSession::new_ooo(&prog(), &CoreConfig::a73_like(), MAX_INSTS);
+    let mut other = session(CoreConfig::a73_like());
     assert!(matches!(
         other.restore(&snap),
         Err(SnapshotError::Mismatch { .. })

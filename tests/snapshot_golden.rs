@@ -37,7 +37,8 @@ fn golden_prog() -> Program {
 }
 
 fn fresh_session() -> OooSession {
-    OooSession::new_ooo(&golden_prog(), &CoreConfig::xt910(), MAX_INSTS)
+    let cfg = CoreConfig::xt910();
+    OooSession::new(&golden_prog(), &cfg, cfg.mem, MAX_INSTS)
 }
 
 fn fixture_path() -> std::path::PathBuf {

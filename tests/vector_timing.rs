@@ -2,7 +2,7 @@
 //! latencies, slice occupancy and the vsetvl speculation rule.
 
 use xt_asm::Asm;
-use xt_core::{run_ooo, CoreConfig};
+use xt_core::{CoreConfig, OooSession, RunReport};
 use xt_isa::reg::{Gpr, Vr};
 use xt_isa::vector::Sew;
 use xt_isa::{Inst, Op};
@@ -26,11 +26,17 @@ fn vec_loop(op: Op, iters: i64) -> xt_asm::Program {
     a.finish().unwrap()
 }
 
+/// Runs `p` to completion on the XT-910 model.
+fn run_xt910(p: &xt_asm::Program) -> RunReport {
+    let cfg = CoreConfig::xt910();
+    OooSession::new(p, &cfg, cfg.mem, 10_000_000).run_to_end()
+}
+
 #[test]
 fn dependent_vector_chains_expose_latency() {
-    let add = run_ooo(&vec_loop(Op::VaddVV, 2000), &CoreConfig::xt910(), 10_000_000);
-    let mul = run_ooo(&vec_loop(Op::VmulVV, 2000), &CoreConfig::xt910(), 10_000_000);
-    let div = run_ooo(&vec_loop(Op::VdivVV, 2000), &CoreConfig::xt910(), 10_000_000);
+    let add = run_xt910(&vec_loop(Op::VaddVV, 2000));
+    let mul = run_xt910(&vec_loop(Op::VmulVV, 2000));
+    let div = run_xt910(&vec_loop(Op::VdivVV, 2000));
     // §VII: most ops 3-4 cycles, divides 6-25 — the dependent chain
     // makes the latency the loop period
     assert!(
@@ -71,7 +77,7 @@ fn fp_vector_multiply_is_five_cycles() {
     a.li(Gpr::A0, 0);
     a.halt();
     let p = a.finish().unwrap();
-    let r = run_ooo(&p, &CoreConfig::xt910(), 10_000_000);
+    let r = run_xt910(&p);
     let per_iter = r.perf.cycles as f64 / 2000.0;
     assert!(
         (4.5..6.5).contains(&per_iter),
@@ -108,8 +114,8 @@ fn vsetvl_speculation_only_fails_on_vl_change() {
         a.halt();
         a.finish().unwrap()
     };
-    let stable = run_ooo(&steady(false), &CoreConfig::xt910(), 10_000_000);
-    let churn = run_ooo(&steady(true), &CoreConfig::xt910(), 10_000_000);
+    let stable = run_xt910(&steady(false));
+    let churn = run_xt910(&steady(true));
     assert!(
         churn.perf.cycles > stable.perf.cycles,
         "vtype churn costs speculation failures: {} vs {}",
