@@ -3,16 +3,21 @@
 //! per-cycle bandwidth limiters (decode/rename/retire), and execution
 //! pipes.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// A capacity-limited window (ROB, LQ, SQ, issue queue, physical-register
 /// pool). `alloc` returns the earliest cycle at or after `want` when a
 /// slot is free; `commit` records when the allocated slot releases.
+///
+/// The pending releases are kept sorted ascending, so `alloc` pops the
+/// earliest ones from the front. In-order structures (ROB, physical
+/// registers, LQ, SQ) commit non-decreasing release cycles, which makes
+/// `commit` a `push_back`; the issue queue releases out of order and
+/// pays a binary-searched insert into at most `cap` entries.
 #[derive(Clone, Debug)]
 pub struct Window {
     cap: usize,
-    releases: BinaryHeap<Reverse<u64>>,
+    releases: VecDeque<u64>,
     /// Total cycles callers were delayed waiting for a slot.
     pub stall_cycles: u64,
 }
@@ -22,7 +27,7 @@ impl Window {
     pub fn new(cap: usize) -> Self {
         Window {
             cap,
-            releases: BinaryHeap::new(),
+            releases: VecDeque::new(),
             stall_cycles: 0,
         }
     }
@@ -31,12 +36,12 @@ impl Window {
     pub fn alloc(&mut self, want: u64) -> u64 {
         let mut t = want;
         // drop entries that have already released
-        while self.releases.peek().is_some_and(|&Reverse(r)| r <= t) {
-            self.releases.pop();
+        while self.releases.front().is_some_and(|&r| r <= t) {
+            self.releases.pop_front();
         }
         // still at capacity: wait for the earliest releases
         while self.releases.len() >= self.cap {
-            let Reverse(r) = self.releases.pop().expect("non-empty at capacity");
+            let r = self.releases.pop_front().expect("non-empty at capacity");
             t = t.max(r);
         }
         self.stall_cycles += t - want;
@@ -45,12 +50,12 @@ impl Window {
 
     /// Records the release cycle of the slot just allocated.
     pub fn commit(&mut self, release: u64) {
-        self.releases.push(Reverse(release));
-    }
-
-    /// Current occupancy.
-    pub fn occupancy(&self) -> usize {
-        self.releases.len()
+        if self.releases.back().is_none_or(|&last| last <= release) {
+            self.releases.push_back(release);
+        } else {
+            let at = self.releases.partition_point(|&r| r <= release);
+            self.releases.insert(at, release);
+        }
     }
 }
 
@@ -135,13 +140,37 @@ impl PipeGroup {
     }
 }
 
+/// How many distinct cycles a [`SlotLimiter`] remembers. This is model
+/// behaviour, not a tuning knob: the limiter forgets the oldest cycle
+/// (in insertion order) once this many are tracked, and a later request
+/// for a forgotten cycle finds it empty. The golden traces and
+/// snapshot frames pin this value.
+pub const SLOT_HORIZON: usize = 64;
+
+/// Slots in the [`SlotLimiter`] cycle index: a power of two at least
+/// twice [`SLOT_HORIZON`], so linear probing stays short and always
+/// meets an empty slot.
+const INDEX_SLOTS: usize = 2 * SLOT_HORIZON;
+const INDEX_MASK: usize = INDEX_SLOTS - 1;
+/// Insertion number marking an empty index slot.
+const VACANT: u64 = u64::MAX;
+
 /// An out-of-order per-cycle slot limiter (global issue width): unlike
 /// [`Bandwidth`], requests arrive in any cycle order.
+///
+/// The limiter remembers the slot use of the last [`SLOT_HORIZON`]
+/// distinct cycles in a FIFO ring. An open-addressed index maps each
+/// remembered cycle to its absolute insertion number, so probing a
+/// cycle costs O(1) instead of a scan of the ring.
 #[derive(Clone, Debug)]
 pub struct SlotLimiter {
     width: u32,
-    // (cycle, used) ring of recent cycles
+    // (cycle, used) ring of recent cycles, oldest first; cycles are unique
     recent: VecDeque<(u64, u32)>,
+    /// Absolute insertion number of `recent[0]`.
+    base: u64,
+    /// Linear-probing table of (cycle, absolute insertion number).
+    index: [(u64, u64); INDEX_SLOTS],
 }
 
 impl SlotLimiter {
@@ -149,7 +178,9 @@ impl SlotLimiter {
     pub fn new(width: u32) -> Self {
         SlotLimiter {
             width,
-            recent: VecDeque::new(),
+            recent: VecDeque::with_capacity(SLOT_HORIZON),
+            base: 0,
+            index: [(0, VACANT); INDEX_SLOTS],
         }
     }
 
@@ -157,33 +188,95 @@ impl SlotLimiter {
     pub fn take(&mut self, want: u64) -> u64 {
         let mut t = want;
         loop {
-            match self.recent.iter_mut().find(|(c, _)| *c == t) {
-                Some((_, used)) if *used < self.width => {
-                    *used += 1;
-                    break;
+            match self.find(t) {
+                Some(i) if self.recent[i].1 < self.width => {
+                    self.recent[i].1 += 1;
+                    return t;
                 }
                 Some(_) => t += 1,
                 None => {
-                    self.recent.push_back((t, 1));
-                    if self.recent.len() > 64 {
-                        self.recent.pop_front();
-                    }
-                    break;
+                    self.remember(t, 1);
+                    return t;
                 }
             }
         }
-        t
+    }
+
+    fn home(cycle: u64) -> usize {
+        // Fibonacci hashing: consecutive cycles land far apart
+        (cycle.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - INDEX_SLOTS.trailing_zeros())) as usize
+    }
+
+    /// Index slot holding `cycle`, if remembered.
+    fn slot_of(&self, cycle: u64) -> Option<usize> {
+        let mut i = Self::home(cycle);
+        loop {
+            let (c, pos) = self.index[i];
+            if pos == VACANT {
+                return None;
+            }
+            if c == cycle {
+                return Some(i);
+            }
+            i = (i + 1) & INDEX_MASK;
+        }
+    }
+
+    /// Ring position of `cycle`, if remembered.
+    fn find(&self, cycle: u64) -> Option<usize> {
+        self.slot_of(cycle)
+            .map(|i| (self.index[i].1 - self.base) as usize)
+    }
+
+    /// Appends a cycle the ring does not hold, first forgetting the
+    /// oldest one if the ring is at the horizon.
+    fn remember(&mut self, cycle: u64, used: u32) {
+        if self.recent.len() >= SLOT_HORIZON {
+            let (old, _) = self.recent.pop_front().expect("ring at horizon");
+            self.unindex(old);
+            self.base += 1;
+        }
+        let mut i = Self::home(cycle);
+        while self.index[i].1 != VACANT {
+            i = (i + 1) & INDEX_MASK;
+        }
+        self.index[i] = (cycle, self.base + self.recent.len() as u64);
+        self.recent.push_back((cycle, used));
+    }
+
+    /// Deletes `cycle` from the index by backward shifting, so no
+    /// tombstones accumulate.
+    fn unindex(&mut self, cycle: u64) {
+        let mut hole = self.slot_of(cycle).expect("ring entries are indexed");
+        let mut j = hole;
+        loop {
+            j = (j + 1) & INDEX_MASK;
+            let (c, pos) = self.index[j];
+            if pos == VACANT {
+                break;
+            }
+            // the entry at j may fill the hole if the hole lies on its
+            // probe path, i.e. between its home slot and j
+            let dist_home = j.wrapping_sub(Self::home(c)) & INDEX_MASK;
+            let dist_hole = j.wrapping_sub(hole) & INDEX_MASK;
+            if dist_home >= dist_hole {
+                self.index[hole] = self.index[j];
+                hole = j;
+            }
+        }
+        self.index[hole] = (0, VACANT);
     }
 }
 
 impl xt_snapshot::SnapshotState for Window {
-    /// The release heap is serialized as a sorted vector so the encoding
-    /// is canonical regardless of the heap's internal layout.
+    /// The releases are serialized as a sorted vector, the order they
+    /// are kept in.
     fn save(&self, e: &mut xt_snapshot::Enc) {
         e.usize(self.cap);
-        let mut rel: Vec<u64> = self.releases.iter().map(|&Reverse(r)| r).collect();
-        rel.sort_unstable();
-        e.u64_seq(&rel);
+        e.seq(self.releases.len());
+        for &r in &self.releases {
+            e.u64(r);
+        }
         e.u64(self.stall_cycles);
     }
 
@@ -193,11 +286,9 @@ impl xt_snapshot::SnapshotState for Window {
                 what: "window capacity",
             });
         }
-        let rel = d.u64_seq()?;
-        self.releases.clear();
-        for r in rel {
-            self.releases.push(Reverse(r));
-        }
+        let mut rel = d.u64_seq()?;
+        rel.sort_unstable();
+        self.releases = rel.into();
         self.stall_cycles = d.u64()?;
         Ok(())
     }
@@ -257,11 +348,21 @@ impl xt_snapshot::SnapshotState for SlotLimiter {
             });
         }
         let n = d.len(12)?;
-        self.recent.clear();
+        if n > SLOT_HORIZON {
+            return Err(xt_snapshot::SnapshotError::Corrupt {
+                what: "slot limiter ring longer than its horizon",
+            });
+        }
+        *self = SlotLimiter::new(self.width);
         for _ in 0..n {
             let cycle = d.u64()?;
             let used = d.u32()?;
-            self.recent.push_back((cycle, used));
+            if self.find(cycle).is_some() {
+                return Err(xt_snapshot::SnapshotError::Corrupt {
+                    what: "slot limiter ring repeats a cycle",
+                });
+            }
+            self.remember(cycle, used);
         }
         Ok(())
     }
@@ -270,6 +371,219 @@ impl xt_snapshot::SnapshotState for SlotLimiter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    use xt_harness::gen::{choose, ints, vec_of};
+    use xt_harness::prop::{check_with, Config};
+    use xt_snapshot::{Dec, Enc, SnapshotState};
+
+    /// Reference model: the `BinaryHeap` window the sorted ring replaced.
+    struct HeapWindow {
+        cap: usize,
+        releases: BinaryHeap<Reverse<u64>>,
+        stall_cycles: u64,
+    }
+
+    impl HeapWindow {
+        fn alloc(&mut self, want: u64) -> u64 {
+            let mut t = want;
+            while self.releases.peek().is_some_and(|&Reverse(r)| r <= t) {
+                self.releases.pop();
+            }
+            while self.releases.len() >= self.cap {
+                let Reverse(r) = self.releases.pop().expect("non-empty at capacity");
+                t = t.max(r);
+            }
+            self.stall_cycles += t - want;
+            t
+        }
+
+        fn save(&self) -> Vec<u8> {
+            let mut e = Enc::new();
+            e.usize(self.cap);
+            let mut rel: Vec<u64> = self.releases.iter().map(|&Reverse(r)| r).collect();
+            rel.sort_unstable();
+            e.u64_seq(&rel);
+            e.u64(self.stall_cycles);
+            e.into_bytes()
+        }
+    }
+
+    /// Reference model: the linear-scan ring the indexed limiter replaced.
+    struct ScanSlotLimiter {
+        width: u32,
+        recent: VecDeque<(u64, u32)>,
+    }
+
+    impl ScanSlotLimiter {
+        fn take(&mut self, want: u64) -> u64 {
+            let mut t = want;
+            loop {
+                match self.recent.iter_mut().find(|(c, _)| *c == t) {
+                    Some((_, used)) if *used < self.width => {
+                        *used += 1;
+                        break;
+                    }
+                    Some(_) => t += 1,
+                    None => {
+                        self.recent.push_back((t, 1));
+                        if self.recent.len() > 64 {
+                            self.recent.pop_front();
+                        }
+                        break;
+                    }
+                }
+            }
+            t
+        }
+
+        fn save(&self) -> Vec<u8> {
+            let mut e = Enc::new();
+            e.u32(self.width);
+            e.seq(self.recent.len());
+            for &(cycle, used) in &self.recent {
+                e.u64(cycle);
+                e.u32(used);
+            }
+            e.into_bytes()
+        }
+    }
+
+    fn save_bytes<S: SnapshotState>(s: &S) -> Vec<u8> {
+        let mut e = Enc::new();
+        s.save(&mut e);
+        e.into_bytes()
+    }
+
+    fn restore_into<S: SnapshotState>(s: &mut S, bytes: &[u8]) {
+        let mut d = Dec::new(bytes);
+        s.restore(&mut d).expect("restore");
+        assert_eq!(d.remaining(), 0, "restore consumed the whole encoding");
+    }
+
+    /// Random alloc/commit sequences, with monotone or out-of-order
+    /// releases, give the same cycles, stalls and snapshot bytes as the
+    /// heap window, across a mid-sequence save/restore.
+    #[test]
+    fn window_matches_heap_reference() {
+        let gen = (
+            choose(&[1usize, 2, 3, 8, 48]),
+            choose(&[true, false]),
+            ints(0usize..300),
+            vec_of((ints(0u8..4), ints(0u64..300)), 1..300),
+        );
+        check_with(
+            &Config::seeded(0x51DE_0001),
+            "window_matches_heap_reference",
+            &gen,
+            |(cap, monotone, cut, ops)| {
+                let (cap, monotone) = (*cap, *monotone);
+                let mut w = Window::new(cap);
+                let mut r = HeapWindow {
+                    cap,
+                    releases: BinaryHeap::new(),
+                    stall_cycles: 0,
+                };
+                let (mut last_t, mut last_rel) = (0u64, 0u64);
+                for (i, &(kind, a)) in ops.iter().enumerate() {
+                    if i == *cut {
+                        assert_eq!(save_bytes(&w), r.save(), "save at op {i}");
+                        let mut fresh = Window::new(cap);
+                        restore_into(&mut fresh, &save_bytes(&w));
+                        w = fresh;
+                    }
+                    if kind != 2 {
+                        let want = i as u64 * 3 + a % 40;
+                        last_t = w.alloc(want);
+                        assert_eq!(last_t, r.alloc(want), "alloc({want}) at op {i}");
+                    }
+                    if kind >= 2 {
+                        let mut rel = last_t + a % 50;
+                        if monotone {
+                            rel = rel.max(last_rel);
+                        }
+                        last_rel = rel;
+                        w.commit(rel);
+                        r.releases.push(Reverse(rel));
+                    }
+                    assert_eq!(w.stall_cycles, r.stall_cycles, "stalls at op {i}");
+                }
+                assert_eq!(save_bytes(&w), r.save(), "final save");
+            },
+        );
+    }
+
+    /// Random wants — near, far behind, far ahead and repeated — give
+    /// the same cycles and snapshot bytes as the linear-scan ring, with
+    /// the ring wrapping past its horizon, across a mid-sequence
+    /// save/restore.
+    #[test]
+    fn slot_limiter_matches_scan_reference() {
+        let gen = (
+            choose(&[1u32, 2, 4, 8]),
+            ints(0usize..600),
+            vec_of((ints(0u8..4), ints(0u64..300)), 1..600),
+        );
+        check_with(
+            &Config::seeded(0x51DE_0002),
+            "slot_limiter_matches_scan_reference",
+            &gen,
+            |(width, cut, ops)| {
+                let mut s = SlotLimiter::new(*width);
+                let mut r = ScanSlotLimiter {
+                    width: *width,
+                    recent: VecDeque::new(),
+                };
+                let mut prev = 0u64;
+                for (i, &(kind, a)) in ops.iter().enumerate() {
+                    if i == *cut {
+                        assert_eq!(save_bytes(&s), r.save(), "save at op {i}");
+                        let mut fresh = SlotLimiter::new(*width);
+                        restore_into(&mut fresh, &save_bytes(&s));
+                        s = fresh;
+                    }
+                    let clock = 1000 + i as u64;
+                    let want = match kind {
+                        0 => clock + a % 8,
+                        1 => clock.saturating_sub(a),
+                        2 => clock + a,
+                        _ => prev,
+                    };
+                    let got = s.take(want);
+                    assert_eq!(got, r.take(want), "take({want}) at op {i}");
+                    prev = want;
+                }
+                assert_eq!(save_bytes(&s), r.save(), "final save");
+            },
+        );
+    }
+
+    #[test]
+    fn slot_limiter_restore_rejects_frames_save_cannot_write() {
+        let frame = |cycles: &[u64]| {
+            let mut e = Enc::new();
+            e.u32(2);
+            e.seq(cycles.len());
+            for &c in cycles {
+                e.u64(c);
+                e.u32(1);
+            }
+            e.into_bytes()
+        };
+        let mut s = SlotLimiter::new(2);
+        let long: Vec<u64> = (0..SLOT_HORIZON as u64 + 1).collect();
+        for bad in [frame(&long), frame(&[5, 7, 5])] {
+            let mut d = Dec::new(&bad);
+            assert!(matches!(
+                s.restore(&mut d),
+                Err(xt_snapshot::SnapshotError::Corrupt { .. })
+            ));
+        }
+        let full: Vec<u64> = (0..SLOT_HORIZON as u64).collect();
+        restore_into(&mut s, &frame(&full));
+        assert_eq!(s.take(3), 3, "cycle 3 has one of two slots left");
+        assert_eq!(s.take(3), 4);
+    }
 
     #[test]
     fn window_stalls_when_full() {

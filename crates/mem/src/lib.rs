@@ -39,6 +39,7 @@
 pub mod cache;
 pub mod config;
 pub mod dram;
+mod linehash;
 pub mod missclass;
 pub mod prefetch;
 pub mod stats;

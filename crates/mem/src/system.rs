@@ -169,7 +169,7 @@ impl MemSystem {
             coh_upgrades: 0,
             walk_cycles: 0,
             snoop_matrix: vec![0; cores * cores],
-            cls: (0..cores).map(|_| MissClassifier::new(l1d_lines)).collect(),
+            cls: (0..cores).map(|_| MissClassifier::new(l1d_lines, cfg.line_bytes)).collect(),
             pf_score: vec![vec![StreamScore::default(); cfg.prefetch.max_streams]; cores],
             pf_owner: vec![HashMap::new(); cores],
             line_bytes: cfg.line_bytes as u64,

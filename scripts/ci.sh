@@ -12,7 +12,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== build (release, all targets, offline) =="
-cargo build --release --offline --all-targets
+# --workspace: the artifact legs below run target/release/xt-{report,stat,
+# figures}, which a root-package-only build would leave stale or missing.
+cargo build --release --offline --workspace --all-targets
 
 echo "== test (workspace, offline) =="
 cargo test -q --offline --workspace
@@ -183,6 +185,16 @@ if "$repo_root/target/release/xt-stat" diff \
 fi
 echo "OK: forged event-count mismatch rejected by the diff gate"
 rm -rf "$stat_dir"
+
+echo "== xt-stat full matrix (identical to the committed BENCH_perf.json) =="
+# The smoke matrix above covers a subset of the cells; the full matrix
+# (~1 s) must reproduce every committed counter exactly, so a host-only
+# change that moves a full-matrix counter fails here.
+full_dir=$(mktemp -d)
+(cd "$full_dir" && "$repo_root/target/release/xt-stat" >/dev/null)
+"$repo_root/target/release/xt-stat" diff \
+    BENCH_perf.json "$full_dir/BENCH_perf.json" --tolerance 0
+rm -rf "$full_dir"
 
 echo "== xt-figures smoke (vector figure artifact + gate) =="
 # The Figs. 18-20 artifact must run end-to-end, emit parseable JSON with
